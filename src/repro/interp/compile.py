@@ -8,8 +8,8 @@ Function` object.  The generated code runs against the owning
 shared runtime state — same :class:`~repro.interp.memory.Memory`, same
 :class:`~repro.perf.cost.CostVector` sinks, same simulated clock — so
 a compiled callee can hand any individual op back to the interpreter
-(an MPI intrinsic, a spawned task, a region the lowering rejected) and
-resume, with bit-identical results and timings.
+(an MPI intrinsic, a region the lowering rejected) and resume, with
+bit-identical results and timings.
 
 The runtime helpers in this module are the out-of-line parts of the
 generated code.  Memory access comes in three statically-selected
@@ -30,12 +30,23 @@ codegen time — see :mod:`repro.interp.fusion`):
 Plus privatizing allocation (``_al``), segment cost accumulation
 (``_acc``), the fork-region phase driver (``_rf``), call dispatch
 (``_ca``/``_cu``) and the op-by-op interpreter bridge (``_bg``).
+Spawned task bodies run under ``Interpreter._run_task``, the same
+task driver the interpreter's ``spawn`` uses.
+
+A lowered function is a list of *units*: its own body plus one
+top-level generator function per fork/spawn body (see
+:mod:`repro.interp.lowering`).  Each unit goes through its own
+``compile()`` — CPython's compile-time memory peak grows with the size
+of one source text, so a function with many unrolled task bodies and
+their adjoints would otherwise pay for all of them at once — and all
+units ``exec`` into one globals dict, where they find each other by
+name.
 
 Compilation itself is two-level cached: in-process on the Function
 object (fingerprint-checked, since ExecConfig.fusion changes codegen),
-and optionally on disk (:mod:`repro.interp.diskcache`) keyed on the
-lowered source + config fingerprint so warm processes skip CPython's
-``compile()`` for large adjoint functions.
+and optionally on disk (:mod:`repro.interp.diskcache`), one entry per
+unit keyed on its source + config fingerprint, so warm processes skip
+CPython's ``compile()`` for large adjoint functions.
 
 Fallback contract (who runs what):
 
@@ -370,6 +381,8 @@ def _stk(rt, val, ptr, idx):
 
 _AT_UFUNC = {"add": np.add, "min": np.minimum, "max": np.maximum}
 
+_F8 = np.dtype(np.float64)
+
 
 def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
     """Statically-unmasked atomic with fast paths for the two hot
@@ -379,7 +392,11 @@ def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
     ``ufunc.at`` applies lanes *sequentially*; the scalar-target path
     reproduces that exact left fold with ``ufunc.accumulate`` over
     ``[current, lane0, lane1, ...]`` (bit-identical, including ordered
-    float addition and signed-zero/NaN min-max behavior).  ``d`` is the
+    float addition and signed-zero/NaN min-max behavior).  A scalar
+    float ``add`` into a scalar target is one Python float addition
+    instead: the same IEEE addition, without the ufunc call overhead
+    (min/max keep the ufuncs for their NaN and signed-zero rules).
+    ``d`` is the
     static monotonicity class of the index (see the lowering): a
     strictly monotone index vector is duplicate-free, so each cell gets
     exactly one application and ``ufunc.at`` collapses to a vectorized
@@ -394,14 +411,17 @@ def _at(rt, kind, via_reduction, val, ptr, idx, d=0):
         data = buf.data
         if at < 0 or at >= len(data):
             Memory._check_bounds(buf, at)
-        ufunc = _AT_UFUNC[kind]
         if isinstance(val, np.ndarray) and val.ndim > 0:
             v = val if val.ndim == 1 else val.ravel()
-            data[at] = ufunc.accumulate(
+            data[at] = _AT_UFUNC[kind].accumulate(
                 np.concatenate((data[at:at + 1], v)))[-1]
             w = val.size if val.size > 1 else 1
         else:
-            data[at] = ufunc(data[at], val)
+            if (kind == "add" and isinstance(val, float)  # incl. np.float64
+                    and data.dtype is _F8):
+                data[at] = data.item(at) + float(val)
+            else:
+                data[at] = _AT_UFUNC[kind](data[at], val)
             w = 1
     else:
         if buf.freed:
@@ -555,13 +575,14 @@ def _cu(rt, name, args):
     return result[1] if isinstance(result, tuple) else None
 
 
-def _rf(rt, nthreads, body_factory):
+def _rf(rt, nthreads, unit, args):
     """Fork-region driver — mirror of ``Interpreter._exec_fork`` over
-    compiled per-thread body generators.  Never yields upward."""
+    one generator of the body unit per thread (``unit(rt, *args, tid,
+    nthreads)``).  Never yields upward."""
     if False:  # pragma: no cover - makes this a generator function
         yield None
     rt.flush_serial()
-    gens = [body_factory(t, nthreads) for t in range(nthreads)]
+    gens = [unit(rt, *args, t, nthreads) for t in range(nthreads)]
     saved_cost = rt.cost
     saved_thread = rt.current_thread
     saved_width = rt._fork_width
@@ -632,11 +653,16 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
     """Lower + compile ``fn``; returns a generator function
     ``code(rt, *args)`` or raises :class:`LoweringError`.
 
+    The lowering yields one source per unit (the function body, then
+    each fork/spawn body); every unit gets its own ``compile()`` and
+    all of them ``exec`` into one globals dict.
+
     ``cache`` is an optional :class:`~repro.interp.diskcache.
     CompileCache`: lowering always runs (it rebuilds the constant
-    table deterministically), but the CPython ``compile()`` step is
-    skipped when the cache holds a code object for this exact lowered
-    source + ``fingerprint``.
+    table deterministically), but a unit's CPython ``compile()`` is
+    skipped when the cache holds a code object for that exact unit
+    source + ``fingerprint`` (a missing or corrupt entry recompiles
+    that unit only).
 
     ``native`` is an optional :class:`~repro.interp.native.
     NativeEmitter`: the lowering then routes claimable kernels through
@@ -655,26 +681,31 @@ def compile_function(fn: Function, fusion: bool = True, cache=None,
     if module is not None:
         from ..passes.intervals import certify_bounds
         bounds = certify_bounds(fn, module)
-    source, consts, stats = lower_function(fn, fusion=fusion, native=native,
-                                           bounds=bounds)
-    code_obj = cache.load(source, fingerprint) if cache is not None else None
-    if code_obj is None:
-        try:
-            code_obj = compile(source, f"<compiled {fn.name}>", "exec")
-        except SyntaxError as e:  # codegen bug — surface the source
-            raise LoweringError(
-                f"generated source for {fn.name} does not compile: {e}"
-            ) from e
-        if cache is not None:
-            cache.store(source, fingerprint, code_obj)
+    sources, consts, stats = lower_function(fn, fusion=fusion,
+                                            native=native, bounds=bounds)
+    code_objs = []
+    for source in sources:
+        code_obj = (cache.load(source, fingerprint) if cache is not None
+                    else None)
+        if code_obj is None:
+            try:
+                code_obj = compile(source, f"<compiled {fn.name}>", "exec")
+            except SyntaxError as e:  # codegen bug — surface the source
+                raise LoweringError(
+                    f"generated source for {fn.name} does not compile: {e}"
+                ) from e
+            if cache is not None:
+                cache.store(source, fingerprint, code_obj)
+        code_objs.append(code_obj)
     globs = dict(_HELPER_GLOBALS)
     globs.update(consts)
     if native is not None:
         globs.update(native.build(cache))
-    exec(code_obj, globs)
+    for code_obj in code_objs:
+        exec(code_obj, globs)
     code = globs["_compiled"]
     code.__name__ = f"_compiled_{fn.name}"
-    code.__lowered_source__ = source
+    code.__lowered_source__ = "\n".join(sources)
     code.__fusion_stats__ = stats
     code.__native_stats__ = native.stats if native is not None else None
     return code

@@ -3,11 +3,14 @@
 Lowering an IR function is cheap (it also deterministically rebuilds
 the constant-globals table the generated code closes over), but running
 CPython's ``compile()`` over the generated source dominates cold-start
-time for large adjoint functions.  This cache persists the *marshaled
-code object* keyed by everything that determines it:
+time for large adjoint functions.  A lowered function is a list of
+*units* (its body, then one per fork/spawn body; see
+:mod:`repro.interp.compile`), each compiled on its own, so the cache
+holds one entry per unit: the *marshaled code object* keyed by
+everything that determines it:
 
-* the lowered Python source (which transitively encodes the IR body —
-  and therefore any ADConfig that shaped a gradient function);
+* the unit's lowered Python source (which transitively encodes the IR
+  body — and therefore any ADConfig that shaped a gradient function);
 * an ExecConfig fingerprint (see :func:`config_fingerprint`);
 * the cache :data:`FORMAT_VERSION`, the lowering generation
   (:data:`repro.interp.fusion.LOWERING_VERSION`), the CPython
@@ -15,7 +18,9 @@ code object* keyed by everything that determines it:
   NumPy version.
 
 A warm process therefore still lowers (rebuilding ``consts``), hashes
-the source, and unmarshals the stored code object instead of compiling.
+each unit's source, and unmarshals the stored code objects instead of
+compiling.  Units hit and miss independently, so a corrupt entry
+recompiles only its own unit.
 
 Layout: ``<root>/<key[:2]>/<key>.json`` where ``key`` is the SHA-256
 hex digest of the components above.  Entries are JSON with the marshal
@@ -133,7 +138,8 @@ class CompileCache:
 
     # ------------------------------------------------------------------
     def load(self, source: str, fingerprint: str):
-        """Stored code object for (source, fingerprint), or None."""
+        """Stored code object for one unit's (source, fingerprint), or
+        None."""
         path = self._path(self.key(source, fingerprint))
         try:
             with open(path, "rb") as f:

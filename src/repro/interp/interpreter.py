@@ -851,6 +851,15 @@ class Interpreter:
                 break
 
     def _exec_spawn(self, op: Op, env: dict):
+        env[op.result] = yield from self._run_task(
+            self._exec_block(op.regions[0], env))
+
+    def _run_task(self, body):
+        """Run the task body generator ``body`` under its own task id,
+        thread id and cost sink, then schedule and return its
+        :class:`TaskVal`.  Shared by ``spawn`` here and by compiled
+        task bodies, which the lowering drives with ``yield from
+        rt._run_task(...)``."""
         self.flush_serial()
         saved_cost = self.cost
         saved_thread = self.current_thread
@@ -866,7 +875,7 @@ class Interpreter:
             rc_task = rc.task_begin(rc_parent, f"task#{self._task_ids}")
             self._rc_tid = rc_task
         try:
-            yield from self._exec_block(op.regions[0], env)
+            yield from body
         finally:
             self._noyield -= 1
             self.cost = saved_cost
@@ -877,9 +886,9 @@ class Interpreter:
         task.rc_tid = rc_task
         self.tasks.procs_on_node = self.procs_on_node
         self.tasks.schedule(task)
-        env[op.result] = task
         if self.tape is not None:
             self.tape.on_parallel_region(self.config.num_threads)
+        return task
 
     # ------------------------------------------------------------------
     def _exec_call(self, op: Op, env: dict):

@@ -29,9 +29,19 @@ interpreter instance (``rt``) as shared runtime state:
   straight-line segment contributes one ``_acc(...)`` call instead of
   one ``CostVector`` update per op, with per-lane counts scaled by the
   region width local;
-* anything the lowering cannot translate (``spawn`` tasks, ``if`` with
-  a condition of statically-unknown vectorization, unknown opcodes)
-  falls back *op-by-op* to the interpreter through ``_bg`` bridges that
+* ``fork`` bodies and ``spawn`` task bodies become *region units*:
+  out-of-line top-level generator functions ``_uN(rt, *free, [tid,
+  nth])`` that take the body's free SSA values as parameters.  Each
+  unit is its own source text, so the backend runs one ``compile()``
+  per unit (bounding CPython's compile-time memory peak by the largest
+  body, not the whole function) and the disk cache keys each unit
+  separately; the enclosing code drives them through ``_rf`` (fork
+  phases) and ``rt._run_task`` (task spawn, shared with the
+  interpreter);
+* anything the lowering cannot translate (``fork``/``spawn``/
+  ``parallel_for`` in vector context, ``if`` with a condition of
+  statically-unknown vectorization, unknown opcodes) falls back
+  *op-by-op* to the interpreter through ``_bg`` bridges that
   materialize the op's free SSA values into an interpreter ``env``.
 
 Bit-identity contract: every emitted expression either is the exact
@@ -110,7 +120,8 @@ def free_values(op) -> list:
     """SSA values used inside ``op`` (or its regions) but defined outside.
 
     These are exactly the values an interpreter bridge must seed into
-    the ``env`` dict before handing the op to ``rt._gen_dispatch``.
+    the ``env`` dict before handing the op to ``rt._gen_dispatch``, and
+    the parameters a region unit takes from its enclosing code.
     """
     defined = set()
     used = []
@@ -159,6 +170,8 @@ class Lowerer:
         #: can also render (keys are a subset of ``fuser.pending``).
         self.cpend: dict = {}
         self.lines: list[str] = []
+        #: Finished region-unit sources (see :meth:`lower_unit`).
+        self.units: list[str] = []
         self._ind = 0
         self._n = 0
         #: Value -> generated local name.
@@ -331,8 +344,9 @@ class Lowerer:
             self.fuser.materialize(v)
 
     # ------------------------------------------------------------------
-    def build(self) -> tuple[str, dict, "FusionStats"]:
-        """Return ``(source, consts, fusion_stats)`` for this function."""
+    def build(self) -> tuple[list, dict, "FusionStats"]:
+        """Return ``(unit_sources, consts, fusion_stats)`` for this
+        function; ``unit_sources[0]`` defines ``_compiled``."""
         fn = self.fn
         arg_names = [self.bind(a, False) for a in fn.args]
         head = f"def _compiled(rt{''.join(', ' + a for a in arg_names)}):"
@@ -347,7 +361,25 @@ class Lowerer:
             self.emit("pass")
         stats = self.fuser.stats
         stats.fused_ops = max(0, stats.ops - stats.kernels)
-        return "\n".join(self.lines) + "\n", self.consts, stats
+        main = "\n".join(self.lines) + "\n"
+        return [main, *self.units], self.consts, stats
+
+    def lower_unit(self, body, params: list) -> str:
+        """Emit ``body`` as a region unit — a top-level generator
+        function ``def _uN(rt, *params)`` with its own source text —
+        and return its name.  ``params`` are local names the body reads
+        from the enclosing code (it has no closure over them)."""
+        name = self.fresh("_u")
+        saved = self.lines, self._ind
+        self.lines, self._ind = [], 0
+        self.emit(f"def {name}(rt{''.join(', ' + p for p in params)}):")
+        self._ind = 1
+        self.emit("if False:")
+        self.emit("    yield")
+        self.lower_block(body)
+        self.units.append("\n".join(self.lines) + "\n")
+        self.lines, self._ind = saved
+        return name
 
     # ------------------------------------------------------------------
     def lower_block(self, block, top_level: bool = False) -> None:
@@ -510,7 +542,7 @@ class Lowerer:
                       "inside a vectorized region')")
             self.emit(f"rt._while_flag = bool({c})")
         elif oc == "spawn":
-            self.lower_bridge(op)
+            self.lower_spawn(op)
         else:
             raise LoweringError(f"no lowering for opcode {oc!r}")
 
@@ -1106,17 +1138,22 @@ class Lowerer:
         self.emit(f"{want} = int({self.ref(op.operands[0])})")
         self.emit(f"{nt} = {want} if {want} > 0 else rt.config.num_threads")
         body = op.regions[0]
+        free = [self.ref(v) for v in free_values(op)]
         tid = self.bind(body.args[0], False)
         nth = self.bind(body.args[1], False)
-        fb = self.fresh("_fb")
-        self.emit(f"def {fb}({tid}, {nth}):")
-        self._ind += 1
-        self.emit("if False:")
-        self.emit("    yield")
-        self.lower_block(body)
-        self.emit("return")
-        self._ind -= 1
-        self.emit(f"yield from _rf(rt, {nt}, {fb})")
+        unit = self.lower_unit(body, free + [tid, nth])
+        self.emit(f"yield from _rf(rt, {nt}, {unit}, [{', '.join(free)}])")
+
+    def lower_spawn(self, op) -> None:
+        if self.depth > 0:
+            self.lower_bridge(op)
+            return
+        self.flush_all()
+        free = [self.ref(v) for v in free_values(op)]
+        unit = self.lower_unit(op.regions[0], free)
+        res = self.bind(op.result, False)
+        self.emit(f"{res} = yield from rt._run_task({unit}(rt"
+                  f"{''.join(', ' + a for a in free)}))")
 
     def lower_call(self, op) -> None:
         self.flush_all()
@@ -1150,7 +1187,9 @@ class Lowerer:
 
 def lower_function(fn, fusion: bool = True, native=None,
                    bounds=None) -> tuple:
-    """Lower ``fn``; returns ``(python_source, const_globals, stats)``.
+    """Lower ``fn``; returns ``(unit_sources, const_globals, stats)``:
+    the function's own unit (defining ``_compiled``) first, then one
+    source per fork/spawn region unit.
 
     ``bounds`` is an optional :class:`repro.passes.intervals.
     IntervalAnalysis` over ``fn``: accesses it certified in-bounds are

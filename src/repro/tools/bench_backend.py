@@ -25,14 +25,17 @@ import time
 import numpy as np
 
 from ..apps.lulesh.driver import LuleshApp
+from ..apps.minibude.deck import make_deck
 from ..apps.minibude.driver import MinibudeApp
 
 #: (name, kind, headline, kwargs) benchmark cases.  Gradient runs only
 #: — the primal re-runs inside them as the augmented forward pass.
 #: ``headline`` marks the benchmark rows the perf gate scores.  All
-#: four are headline now: the serial gradients exercise the scalar
-#: adjoint sweeps that compilation accelerates, and the threaded
-#: gradients are the rows the native C tier targets.  The threaded
+#: five are headline: the serial gradients exercise the scalar
+#: adjoint sweeps that compilation accelerates, the threaded
+#: gradients are the rows the native C tier targets, and the julia
+#: gradient runs spawned task bodies (and their adjoint tasks) as
+#: compiled region units.  The threaded
 #: LULESH row runs nx=14 (~2.2k elements, ~550-wide per-thread
 #: chunks): a production-representative width where the fused
 #: expression kernels and fold accumulators engage, unlike the nx=6
@@ -42,8 +45,10 @@ from ..apps.minibude.driver import MinibudeApp
 #: work in fork bodies, which is backend-neutral (and the monotone
 #: scatter lowering already avoids ``ufunc.at``, so C gathers are a
 #: wash at these widths — see ROADMAP on loop-level C regions).
-#: miniBUDE keeps the default deck: its per-task chunks are 8 poses
-#: wide, so its floor is per-call overhead, not kernel width — the
+#: miniBUDE keeps the default deck (64 poses): the serial row sweeps
+#: all poses in one simd loop, the openmp row gives each of 4 threads
+#: a 16-pose chunk and the julia row gives each of 8 tasks an 8-pose
+#: chunk, so its floor is per-call overhead, not kernel width — the
 #: honest hard case.
 _FULL_CASES = [
     ("lulesh-serial-grad", "lulesh", True,
@@ -53,12 +58,19 @@ _FULL_CASES = [
      dict(flavor="openmp", nx=14, steps=3, num_threads=4)),
     ("minibude-openmp-grad", "minibude", True,
      dict(variant="openmp", num_threads=4)),
+    ("minibude-julia-grad", "minibude", True,
+     dict(variant="julia", num_threads=4)),
 ]
 
+#: The smoke julia row (8 poses over 4 tasks) puts compiled task
+#: bodies under the divergence gate in CI; it has its own name, so
+#: ``bench_compare`` scores no speedup for it against the full row.
 _SMOKE_CASES = [
     ("lulesh-serial-grad", "lulesh", True,
      dict(flavor="serial", nx=4, steps=2)),
     ("minibude-serial-grad", "minibude", True, dict(variant="serial")),
+    ("minibude-julia-smoke", "minibude", False,
+     dict(variant="julia", num_threads=4, nposes=8, ntasks=4)),
 ]
 
 
@@ -121,9 +133,11 @@ def _run_lulesh(backend: str, flavor: str, nx: int, steps: int,
 
 def _run_minibude(backend: str, variant: str, num_threads: int = 1,
                   reps: int = 1, fusion: bool = True,
-                  cache_dir=None, cc=None) -> dict:
-    app = MinibudeApp(variant, backend=backend, fusion=fusion,
-                      compile_cache=cache_dir, cc=cc)
+                  cache_dir=None, cc=None, nposes: int | None = None,
+                  ntasks: int = 8) -> dict:
+    deck = make_deck(nposes=nposes) if nposes is not None else None
+    app = MinibudeApp(variant, deck=deck, ntasks=ntasks, backend=backend,
+                      fusion=fusion, compile_cache=cache_dir, cc=cc)
     app.grad_fn()
 
     def one_run():
@@ -278,7 +292,8 @@ def main(argv=None) -> int:
                         "rows within ~0.1-0.5x of the prior numbers — "
                         "a near-wash, as their floor is per-statement "
                         "NumPy work in fork bodies, not check "
-                        "branches",
+                        "branches. The julia row runs spawned task "
+                        "bodies as compiled region units",
         "max_abs_dev": max(r["max_abs_dev"] for r in rows),
     }
     text = json.dumps(report, indent=2)

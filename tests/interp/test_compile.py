@@ -12,8 +12,12 @@ from repro.interp import (
     LoweringError,
     compile_function,
 )
-from repro.ir import F64, I64, IRBuilder, Ptr, verify_module
+from repro.interp.compile import _at
+from repro.interp.interpreter import TaskScheduler
+from repro.interp.memory import Memory
+from repro.ir import F64, I64, IRBuilder, Ptr, Task, verify_module
 from repro.parallel import mpi_run
+from repro.perf.cost import CostVector
 
 
 def run_both(module, fn_name, make_arrays, scalars=(), num_threads=1,
@@ -79,7 +83,28 @@ def test_while_dyncache_parity():
     run_both(b.module, "wh", lambda: (np.array([40.0, 0.0, 0.0]),))
 
 
-def test_spawn_wait_parity():
+def run_both_tasks(monkeypatch, module, fn_name, make_arrays, scalars=(),
+                   num_threads=1):
+    """``run_both`` that also asserts every scheduled task's spawn and
+    finish clocks and cost are bit-identical across the backends;
+    returns the compiled run's arrays and the lowered source."""
+    log = []
+    schedule = TaskScheduler.schedule
+
+    def record(self, task):
+        schedule(self, task)
+        log.append((task.spawn_clock, task.finish_clock,
+                    task.cost.as_dict()))
+
+    monkeypatch.setattr(TaskScheduler, "schedule", record)
+    arrays, _, _, _ = run_both(module, fn_name, make_arrays, scalars,
+                               num_threads=num_threads)
+    assert log and len(log) % 2 == 0
+    assert log[:len(log) // 2] == log[len(log) // 2:]
+    return arrays, module.functions[fn_name]._compiled_code.__lowered_source__
+
+
+def test_spawn_wait_parity(monkeypatch):
     b = IRBuilder()
     with b.function("sp", [("x", Ptr()), ("n", I64)]) as f:
         x, n = f.args
@@ -91,9 +116,124 @@ def test_spawn_wait_parity():
             b.store(b.mul(b.load(x, 0), 10.0), x, 0)
         b.wait_task(t2)
     verify_module(b.module)
-    arrays, _, _, _ = run_both(
-        b.module, "sp", lambda: (np.zeros(4),), (4,))
+    arrays, src = run_both_tasks(monkeypatch, b.module, "sp",
+                                 lambda: (np.zeros(4),), (4,))
     np.testing.assert_allclose(arrays[0], [10.0, 1.0, 1.0, 1.0])
+    # Both task bodies are lowered region units, not interpreter bridges.
+    assert src.count("yield from rt._run_task(_u") == 2
+    assert "_bg(" not in src
+
+
+def test_spawn_in_serial_loop_parity(monkeypatch):
+    """One spawn site run per loop trip, all waited on afterwards: the
+    task scheduler sees several tasks in flight at once."""
+    b = IRBuilder()
+    with b.function("sl", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        tasks = b.alloc(4, Task, space="gc")
+        with b.for_(0, 4) as c:
+            with b.spawn() as t:
+                with b.for_(0, n, simd=True) as i:
+                    at = b.add(b.mul(c, n), i)
+                    b.store(b.mul(b.sin(b.load(x, at)), 2.0), x, at)
+            b.store(t, tasks, c)
+        with b.for_(0, 4) as c:
+            b.wait_task(b.load(tasks, c))
+    verify_module(b.module)
+    _, src = run_both_tasks(monkeypatch, b.module, "sl",
+                            lambda: (np.linspace(0.0, 1.0, 20),), (5,),
+                            num_threads=3)
+    assert "rt._run_task(" in src and "_bg(" not in src
+
+
+def test_spawn_inside_fork_parity(monkeypatch):
+    """A task spawned by every thread of a fork region: the spawn unit
+    nests inside the fork body unit and sees the thread's id."""
+    b = IRBuilder()
+    with b.function("sf", [("x", Ptr())]) as f:
+        x = f.args[0]
+        with b.fork(num_threads=3) as (tid, nth):
+            with b.spawn() as t:
+                v = b.load(x, tid)
+                b.store(b.add(b.mul(v, v), b.itof(nth)), x, tid)
+            b.wait_task(t)
+            b.barrier()
+            b.store(b.add(b.load(x, tid), 1.0), x, tid)
+    verify_module(b.module)
+    _, src = run_both_tasks(monkeypatch, b.module, "sf",
+                            lambda: (np.array([1.5, -2.0, 3.0]),),
+                            num_threads=3)
+    assert "_rf(rt" in src and "rt._run_task(" in src and "_bg(" not in src
+
+
+def test_nested_spawn_parity(monkeypatch):
+    b = IRBuilder()
+    with b.function("ns", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        with b.spawn() as outer:
+            with b.spawn() as inner:
+                with b.for_(0, n, simd=True) as i:
+                    b.store(b.exp(b.load(x, i)), x, i)
+            b.store(b.add(b.load(x, 0), 1.0), x, 0)
+            b.wait_task(inner)
+            b.store(b.mul(b.load(x, 1), 3.0), x, 1)
+        b.wait_task(outer)
+    verify_module(b.module)
+    _, src = run_both_tasks(monkeypatch, b.module, "ns",
+                            lambda: (np.linspace(-1.0, 1.0, 6),), (6,))
+    assert src.count("yield from rt._run_task(_u") == 2
+
+
+def test_spawn_in_simd_loop_stays_bridged(monkeypatch):
+    """A spawn in vector context runs through the interpreter bridge
+    (as fork and parallel_for do there), still bit-identically."""
+    b = IRBuilder()
+    with b.function("sv", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        with b.for_(0, n, simd=True) as i:
+            with b.spawn() as t:
+                b.store(b.mul(b.load(x, i), 4.0), x, i)
+            b.wait_task(t)
+    verify_module(b.module)
+    _, src = run_both_tasks(monkeypatch, b.module, "sv",
+                            lambda: (np.arange(5.0),), (5,))
+    assert "_bg(rt" in src and "_run_task(" not in src
+
+
+#: Edge values for the ``_at`` fold: signed zeros, infinities, NaN, the
+#: largest/smallest normals, subnormals, and ordinary magnitudes.
+_AT_EDGES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0,
+                      1.7976931348623157e308, -1.7976931348623157e308,
+                      2.2250738585072014e-308, 5e-324, -5e-324,
+                      1e16, -1e16, 0.1, 3.0])
+
+
+@pytest.mark.parametrize("kind", ["add", "min", "max"])
+def test_at_scalar_target_matches_ufunc_at(kind):
+    """``_at`` into one cell (the adjoint of a broadcast read) applies
+    the lanes in order exactly like ``ufunc.at``: same bits for every
+    scalar or width-1..8 lane vector over the edge values."""
+    ufunc = {"add": np.add, "min": np.minimum, "max": np.maximum}[kind]
+    rng = np.random.default_rng(7)
+    rt = type("RT", (), {})()
+    rt.cost = CostVector()
+    ptr = Memory().alloc(4, F64, "heap")
+    for _ in range(3000):
+        pool = np.concatenate((_AT_EDGES, rng.standard_normal(4)
+                               * 10.0 ** rng.integers(-300, 300, 4)))
+        start = rng.choice(pool)
+        width = int(rng.integers(0, 9))
+        if width == 0:
+            val = rng.choice(pool)
+            val = float(val) if rng.integers(2) else np.float64(val)
+        else:
+            val = rng.choice(pool, size=width)
+        ptr.buffer.data[2] = start
+        _at(rt, kind, False, val, ptr, 2)
+        want = np.array([start])
+        ufunc.at(want, np.zeros(max(width, 1), dtype=np.int64), val)
+        assert (ptr.buffer.data[2:3].view(np.uint64)
+                == want.view(np.uint64)).all(), (kind, start, val)
 
 
 def test_masked_if_parity():

@@ -364,3 +364,57 @@ def test_end_to_end_warm_process_hits(tmp_path):
     ex2.run("f", np.zeros(2), 2)
     st = ex2.compile_stats()["cache"]
     assert st == {"hits": 1, "misses": 0, "stores": 0, "errors": 0}
+
+
+# ---------------------------------------------------------------------------
+# One entry per region unit
+# ---------------------------------------------------------------------------
+
+def _fork_module():
+    b = IRBuilder()
+    with b.function("fk", [("x", Ptr()), ("n", I64)]) as f:
+        x, n = f.args
+        with b.fork(num_threads=2):
+            with b.workshare(0, n) as i:
+                b.store(b.mul(b.load(x, i), 3.0), x, i)
+    verify_module(b.module)
+    return b.module
+
+
+def test_corrupt_unit_entry_recompiles_only_that_unit(tmp_path):
+    cfg = dict(backend="compiled", compile_cache=str(tmp_path))
+    ex1 = Executor(_fork_module(), ExecConfig(num_threads=2, **cfg))
+    ex1.run("fk", np.zeros(4), 4)
+    assert ex1.compile_stats()["cache"]["stores"] == 2  # body + fork unit
+    paths = _entry_paths(os.path.join(str(tmp_path), "compiled-ir"))
+    assert len(paths) == 2
+    with open(paths[0], "wb") as f:
+        f.write(b"{not json")
+    ex2 = Executor(_fork_module(), ExecConfig(num_threads=2, **cfg))
+    x = np.arange(4.0)
+    ex2.run("fk", x, 4)
+    np.testing.assert_array_equal(x, 3.0 * np.arange(4.0))
+    assert ex2.compile_stats()["cache"] == {
+        "hits": 1, "misses": 1, "stores": 1, "errors": 1}
+
+
+def test_warm_process_hits_every_unit_of_minibude_julia_gradient(tmp_path):
+    """The julia gradient lowers to one unit per spawned task body
+    (forward tasks and their adjoints) plus the function body; a second
+    process over the same cache directory compiles none of them."""
+    from repro.apps.minibude.deck import make_deck
+    from repro.apps.minibude.driver import MinibudeApp
+
+    stats, energies = [], []
+    for _ in range(2):
+        app = MinibudeApp("julia", deck=make_deck(nposes=8),
+                          backend="compiled", compile_cache=str(tmp_path))
+        shadows, res = app.run_gradient(2)
+        stats.append(app.last_compile_stats["cache"])
+        energies.append((shadows["poses"], res.time))
+    cold, warm = stats
+    assert cold["stores"] == cold["misses"] == 17  # 8 + 8 tasks, 1 body
+    assert cold["hits"] == cold["errors"] == 0
+    assert warm == {"hits": 17, "misses": 0, "stores": 0, "errors": 0}
+    np.testing.assert_array_equal(energies[0][0], energies[1][0])
+    assert energies[0][1] == energies[1][1]

@@ -356,3 +356,31 @@ def test_native_claims_classified_proven_unproven(monkeypatch):
     # Every classified claim is one of the counted kinds.
     assert (nat["claims_proven"] + nat["claims_unproven"]
             == nat["gathers"] + nat["scatters"] + nat["folds"])
+
+
+def test_minibude_julia_gradient_three_way():
+    """The miniBUDE ``julia`` gradient — spawned task bodies and their
+    adjoint tasks, lowered as region units — is bit-identical across
+    interp, compiled and native: gradients, energies, simulated clock
+    and cost vector."""
+    from repro.apps.minibude.deck import make_deck
+    from repro.apps.minibude.driver import MinibudeApp
+    from repro.apps.minibude.kernels import ARG_NAMES
+
+    outs = {}
+    for backend in ("interp", "compiled", "native"):
+        app = MinibudeApp("julia", deck=make_deck(nposes=8, seed=5),
+                          ntasks=4, backend=backend)
+        shadows, res = app.run_gradient(3)
+        outs[backend] = (shadows, res.energies, res.time,
+                         res.cost.as_dict())
+        if backend == "compiled":
+            assert app.last_compile_stats["ops"] > 0
+    shadows, energies, clock, cost = outs["interp"]
+    for backend in ("compiled", "native"):
+        b_shadows, b_energies, b_clock, b_cost = outs[backend]
+        for n in ARG_NAMES:
+            np.testing.assert_array_equal(shadows[n], b_shadows[n])
+        np.testing.assert_array_equal(energies, b_energies)
+        assert clock == b_clock
+        assert cost == b_cost

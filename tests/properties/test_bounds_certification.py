@@ -108,14 +108,14 @@ def test_proven_scalar_site_has_no_check_in_source():
     fn = b.module.functions["prog"]
 
     bounds = certify_bounds(fn, b.module)
-    src, _consts, stats = lower_function(fn, bounds=bounds)
-    assert "_check_bounds" not in src
+    units, _consts, stats = lower_function(fn, bounds=bounds)
+    assert "_check_bounds" not in "".join(units)
     assert stats.checks_elided > 0
     assert stats.bounds_proven == 2 and stats.bounds_unproven == 0
 
     # Without certification the very same program carries the checks.
-    src2, _c2, stats2 = lower_function(fn)
-    assert "_check_bounds" in src2
+    units2, _c2, stats2 = lower_function(fn)
+    assert "_check_bounds" in "".join(units2)
     assert stats2.checks_elided == 0
 
 

@@ -20,7 +20,8 @@ from repro.ir import (
 )
 
 # A random program is a list of statements operating on x (length n)
-# and a scratch cell, with nested structure.
+# and a scratch cell, with nested structure (serial loops, branches and
+# spawned tasks).
 
 _STMT = st.deferred(lambda: st.one_of(
     st.tuples(st.just("axpy"), st.floats(-2, 2), st.floats(-2, 2)),
@@ -30,6 +31,7 @@ _STMT = st.deferred(lambda: st.one_of(
                                                            max_size=2)),
     st.tuples(st.just("branch"), st.floats(-1, 1),
               st.lists(_STMT, max_size=2), st.lists(_STMT, max_size=2)),
+    st.tuples(st.just("spawn"), st.lists(_STMT, max_size=2)),
 ))
 
 
@@ -55,6 +57,12 @@ def _emit(b, stmts, x, n, depth=0):
                 _emit(b, s[2], x, n, depth + 1)
             with b.else_():
                 _emit(b, s[3], x, n, depth + 1)
+        elif kind == "spawn":
+            # A task, waited on right away (the correlated spawn/wait
+            # pair the AD engine reverses).
+            with b.spawn() as t:
+                _emit(b, s[1], x, n, depth + 1)
+            b.wait_task(t)
 
 
 @settings(max_examples=40, deadline=None)
