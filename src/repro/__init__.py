@@ -43,15 +43,20 @@ from .ir import (
     verify_module,
 )
 from .perf import MachineModel, c6i_metal
-from .sanitize import (
-    LintError,
-    RaceChecker,
-    RaceReport,
-    lint_function,
-    lint_module,
-)
 
 __version__ = "1.0.0"
+
+#: Sanitizer names, imported on first access (PEP 562): the gradient
+#: path does not need ``repro.sanitize``, so ``import repro`` skips it.
+_SANITIZE_EXPORTS = ("LintError", "RaceChecker", "RaceReport",
+                     "lint_function", "lint_module")
+
+
+def __getattr__(name: str):
+    if name in _SANITIZE_EXPORTS:
+        from . import sanitize
+        return getattr(sanitize, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "Active", "Const", "Duplicated", "autodiff", "autodiff_forward",

@@ -27,16 +27,15 @@ thread-to-iteration mapping (paper §VI-B).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
-
-import networkx as nx
 
 from ..ir.function import Function, Module
 from ..ir.ops import Op
 from ..ir.types import F64, I1, I64, PointerType, Request, Task, Type
 from ..ir.values import Argument, BlockArg, Constant, Result, Value
 from ..passes.aliasing import AliasInfo
+from ..passes.cleanup import PURE_INTRINSICS
 from .activity import ActivityInfo
 from .rules import RULES, ZERO_DERIVATIVE
 
@@ -55,9 +54,6 @@ class ForkNThreads:
     def __init__(self, fork_op: Op) -> None:
         self.fork_op = fork_op
 
-
-#: Pure intrinsics whose results may be recomputed in the reverse pass.
-_PURE_INTRINSICS = {"mpi.comm_rank", "mpi.comm_size", "rt.num_threads"}
 
 #: Loop-like region ops that constitute cache index dimensions.
 _DIM_OPS = ("for", "parallel_for", "while", "fork")
@@ -220,21 +216,19 @@ class CachePlanner:
 
     # ------------------------------------------------------------------
     def build(self) -> CachePlan:
-        needed = self._collect_needed()
+        # Values hash by object identity: iterate the needed and closure
+        # sets in program order, or slot numbering (and with it the
+        # gradient IR, which keys the compile cache) would vary from
+        # process to process.
+        rank = {op.result: i for i, op in enumerate(self.fn.walk())
+                if op.result is not None}
+
+        def in_program_order(values) -> list[Value]:
+            return sorted(values, key=lambda v: rank.get(v, len(rank)))
+
+        needed = in_program_order(self._collect_needed())
         closure = self._close(needed)
-        # Values hash by object identity, so iterating these sets
-        # directly would vary from process to process and leak into
-        # slot numbering (and from there into the generated gradient
-        # IR, defeating any source-keyed compile cache).  Iterate in
-        # program order instead.
-        order: dict = {}
-        for i, op in enumerate(self.fn.walk()):
-            if op.result is not None:
-                order[op.result] = i
-        rank = order.get
-        fallback = len(order)
-        self._classify(sorted(closure, key=lambda v: rank(v, fallback)),
-                       sorted(needed, key=lambda v: rank(v, fallback)))
+        self._classify(in_program_order(closure), needed)
         self._assign_slots()
         self.plan.stats = {
             "needed": len(needed),
@@ -476,13 +470,13 @@ class CachePlanner:
                 self._need_pointer(op.operands[0], self.plan.needed)
                 return [op.operands[1]]
             return None
-        if oc == "call" and op.attrs["callee"] in _PURE_INTRINSICS:
+        if oc == "call" and op.attrs["callee"] in PURE_INTRINSICS:
             return []
         return None
 
-    def _close(self, needed: set[Value]) -> set[Value]:
+    def _close(self, needed: list[Value]) -> set[Value]:
         closure: set[Value] = set()
-        work = [v for v in needed]
+        work = list(needed)
         while work:
             v = work.pop()
             if v in closure or self._is_free(v):
@@ -528,7 +522,6 @@ class CachePlanner:
     def _classify(self, closure: list[Value], needed: list[Value]) -> None:
         """``closure`` and ``needed`` come in program order (see build)."""
         res = self.plan.resolution
-        in_closure = set(closure)
         for v in closure:
             res[v] = "recompute"  # refined below
 
@@ -541,44 +534,30 @@ class CachePlanner:
                                     f"recomputable")
             return
 
-        # Min vertex cut.
-        G = nx.DiGraph()
-        SOURCE, SINK = "S", "T"
-        INF = float("inf")
-
-        def v_in(v):
-            return ("in", v)
-
-        def v_out(v):
-            return ("out", v)
-
-        for v in closure:
-            cap = self._cache_weight(v) if self._cacheable(v) else INF
-            G.add_edge(v_in(v), v_out(v), capacity=cap)
+        # Min vertex cut: value i of the closure splits into node 2 + 2i
+        # (in) and 3 + 2i (out), joined by an edge of its cache weight.
+        index = {v: i for i, v in enumerate(closure)}
+        edges: list[tuple[int, int, float]] = []
+        for i, v in enumerate(closure):
+            cap = self._cache_weight(v) if self._cacheable(v) else _INF
+            edges.append((2 + 2 * i, 3 + 2 * i, cap))
             deps = self._recompute_deps(v)
             if deps is None:
                 if not self._cacheable(v):
                     raise PlanError(
                         f"value {v!r} must be preserved but cannot be "
                         f"cached")
-                G.add_edge(SOURCE, v_in(v), capacity=INF)
+                edges.append((_SOURCE, 2 + 2 * i, _INF))
             else:
-                for d in deps:
-                    if not self._is_free(d):
-                        G.add_edge(v_out(d), v_in(v), capacity=INF)
-        for v in needed:
-            if v in in_closure:
-                G.add_edge(v_out(v), SINK, capacity=INF)
+                edges += [(3 + 2 * index[d], 2 + 2 * i, _INF)
+                          for d in deps if not self._is_free(d)]
+        edges += [(3 + 2 * index[v], _SINK, _INF) for v in needed
+                  if v in index]
 
-        if SOURCE in G and SINK in G and nx.has_path(G, SOURCE, SINK):
-            cut_value, (s_side, t_side) = nx.minimum_cut(
-                G, SOURCE, SINK, capacity="capacity")
-            if cut_value == INF:
-                raise PlanError("min-cut failed: uncuttable path "
-                                "(uncacheable mandatory value)")
-            for v in closure:
-                if v_in(v) in s_side and v_out(v) in t_side:
-                    res[v] = "cache"
+        _, sink_side = min_cut(2 + 2 * len(closure), edges, _SOURCE, _SINK)
+        for i, v in enumerate(closure):
+            if 2 + 2 * i not in sink_side and 3 + 2 * i in sink_side:
+                res[v] = "cache"
 
     # ------------------------------------------------------------------
     # Phase 4: storage assignment
@@ -621,6 +600,77 @@ class CachePlanner:
         if dyn_anchor is not None:
             self.plan.dyn_groups.setdefault(dyn_anchor, []).append(key)
         return slot
+
+
+_SOURCE, _SINK = 0, 1
+_INF = float("inf")
+
+
+def min_cut(num_nodes: int, edges: list, source: int,
+            sink: int) -> tuple[float, set[int]]:
+    """Minimum ``source``-``sink`` cut of a digraph of ``(u, v, capacity)``
+    edges (capacities may be infinite), by Dinic's max-flow.  Returns the
+    cut value and the sink side: the nodes that can still reach ``sink``
+    in the residual graph, which is the same for every maximum flow (the
+    inclusion-minimal sink side over all minimum cuts).  Raises
+    :class:`PlanError` when infinite capacities leave no finite cut."""
+    adj: list[list[int]] = [[] for _ in range(num_nodes)]
+    to: list[int] = []        # edge 2k runs u -> v, edge 2k + 1 back
+    res: list[float] = []     # residual capacities
+    for u, v, cap in edges:
+        adj[u].append(len(to))
+        adj[v].append(len(to) + 1)
+        to += (v, u)
+        res += (cap, 0.0)
+    total = 0.0
+    while True:
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = [source]
+        for u in queue:  # breadth-first levels over residual edges
+            for e in adj[u]:
+                if res[e] > 0 and level[to[e]] < 0:
+                    level[to[e]] = level[u] + 1
+                    queue.append(to[e])
+        if level[sink] < 0:
+            break
+        # Blocking flow: depth-first along level-increasing edges, each
+        # node resuming at its current arc.
+        arc = [0] * num_nodes
+        path: list[int] = []
+        u = source
+        while True:
+            if u == sink:
+                pushed = min(res[e] for e in path)
+                if pushed == _INF:
+                    raise PlanError("min-cut failed: uncuttable path "
+                                    "(uncacheable mandatory value)")
+                for e in path:
+                    res[e] -= pushed
+                    res[e ^ 1] += pushed
+                total += pushed
+                path, u = [], source
+            elif arc[u] < len(adj[u]):
+                e = adj[u][arc[u]]
+                if res[e] > 0 and level[to[e]] == level[u] + 1:
+                    path.append(e)
+                    u = to[e]
+                else:
+                    arc[u] += 1
+            elif path:  # dead end: retreat and never enter it again
+                level[u] = -1
+                u = to[path.pop() ^ 1]
+                arc[u] += 1
+            else:
+                break
+    sink_side = {sink}
+    stack = [sink]
+    while stack:
+        for e in adj[stack.pop()]:
+            if res[e ^ 1] > 0 and to[e] not in sink_side:
+                sink_side.add(to[e])
+                stack.append(to[e])
+    return total, sink_side
 
 
 def _loc_ident(ptr: Value, idx: Value):

@@ -12,6 +12,7 @@ from .values import Argument, BlockArg, Constant, Result, Value
 class _Namer:
     def __init__(self) -> None:
         self.names: dict[Value, str] = {}
+        self.used: set[str] = set()
         self.counter = 0
 
     def name(self, v: Value) -> str:
@@ -25,10 +26,11 @@ class _Namer:
             n = f"%{self.counter}"
             self.counter += 1
         # Disambiguate duplicates.
-        while n in self.names.values():
+        while n in self.used:
             n = f"{n}_{self.counter}"
             self.counter += 1
         self.names[v] = n
+        self.used.add(n)
         return n
 
 

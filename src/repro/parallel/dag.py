@@ -16,27 +16,29 @@ parallel slackness, which is the theoretical backbone of the paper's
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Hashable, Optional
-
-import networkx as nx
+from typing import Callable, Hashable
 
 
 class TaskDAG:
-    """A DAG of tasks with execution costs."""
+    """A DAG of tasks with execution costs (insertion-ordered maps)."""
 
     def __init__(self) -> None:
-        self.g = nx.DiGraph()
+        self.cost: dict[Hashable, float] = {}
+        self.succ: dict[Hashable, dict[Hashable, None]] = {}
+        self.pred: dict[Hashable, dict[Hashable, None]] = {}
 
     def add_task(self, tid: Hashable, cost: float = 1.0) -> Hashable:
-        self.g.add_node(tid, cost=float(cost))
+        self.succ.setdefault(tid, {})
+        self.pred.setdefault(tid, {})
+        self.cost[tid] = float(cost)
         return tid
 
     def add_dep(self, before: Hashable, after: Hashable) -> None:
         """``after`` may only run once ``before`` completed."""
-        self.g.add_edge(before, after)
-        if not nx.is_directed_acyclic_graph(self.g):
-            self.g.remove_edge(before, after)
+        succ, pred = self.succ[before], self.pred[after]  # KeyError: unknown
+        succ[after] = pred[before] = None
+        if len(self.topo_order()) < len(self.cost):
+            del succ[after], pred[before]
             raise ValueError(f"dependency {before} -> {after} creates a "
                              f"cycle")
 
@@ -48,35 +50,50 @@ class TaskDAG:
         (in-degree > 1) and vice versa.
         """
         out = TaskDAG()
-        for n, data in self.g.nodes(data=True):
-            out.add_task(n, data["cost"])
-        out.g.add_edges_from((b, a) for a, b in self.g.edges())
+        for n, c in self.cost.items():
+            out.add_task(n, c)
+        for a, succs in self.succ.items():
+            for b in succs:
+                out.succ[b][a] = out.pred[a][b] = None
         return out
 
     # ------------------------------------------------------------------
     def spawns(self) -> set:
-        return {n for n in self.g if self.g.out_degree(n) > 1}
+        return {n for n, succs in self.succ.items() if len(succs) > 1}
 
     def syncs(self) -> set:
-        return {n for n in self.g if self.g.in_degree(n) > 1}
+        return {n for n, preds in self.pred.items() if len(preds) > 1}
 
     def work(self) -> float:
         """T_1: total work."""
-        return sum(d["cost"] for _, d in self.g.nodes(data=True))
+        return sum(self.cost.values())
 
     def span(self) -> float:
         """T_inf: critical-path length."""
-        if not self.g:
+        if not self.cost:
             return 0.0
         longest: dict = {}
-        for n in nx.topological_sort(self.g):
-            c = self.g.nodes[n]["cost"]
-            longest[n] = c + max(
-                (longest[p] for p in self.g.predecessors(n)), default=0.0)
+        for n in self.topo_order():
+            longest[n] = self.cost[n] + max(
+                (longest[p] for p in self.pred[n]), default=0.0)
         return max(longest.values())
 
     def topo_order(self) -> list:
-        return list(nx.topological_sort(self.g))
+        """Kahn's algorithm, one generation at a time, each in insertion
+        order (networkx's ``topological_sort`` order)."""
+        indeg = {n: len(preds) for n, preds in self.pred.items()}
+        generation = [n for n, d in indeg.items() if d == 0]
+        order: list = []
+        while generation:
+            order += generation
+            released = []
+            for n in generation:
+                for s in self.succ[n]:
+                    indeg[s] -= 1
+                    if indeg[s] == 0:
+                        released.append(s)
+            generation = released
+        return order
 
     def execute(self, run: Callable[[Hashable], None]) -> list:
         """Run every task once in a dependency-respecting order."""
@@ -94,27 +111,25 @@ def list_schedule(dag: TaskDAG, nworkers: int) -> float:
     """
     if nworkers <= 0:
         raise ValueError("nworkers must be positive")
-    g = dag.g
-    indeg = {n: g.in_degree(n) for n in g}
-    ready = [(0.0, n) for n in g if indeg[n] == 0]
+    indeg = {n: len(preds) for n, preds in dag.pred.items()}
+    ready = [(0.0, n) for n in dag.cost if indeg[n] == 0]
     heapq.heapify(ready)
     workers = [0.0] * nworkers
     finish: dict = {}
-    heapq.heapify(ready)
     done = 0
     while ready:
         avail_at, n = heapq.heappop(ready)
         w = min(range(nworkers), key=lambda i: workers[i])
         start = max(workers[w], avail_at)
-        end = start + g.nodes[n]["cost"]
+        end = start + dag.cost[n]
         workers[w] = end
         finish[n] = end
         done += 1
-        for succ in g.successors(n):
+        for succ in dag.succ[n]:
             indeg[succ] -= 1
             if indeg[succ] == 0:
-                avail = max(finish[p] for p in g.predecessors(succ))
+                avail = max(finish[p] for p in dag.pred[succ])
                 heapq.heappush(ready, (avail, succ))
-    if done != g.number_of_nodes():
+    if done != len(dag.cost):
         raise ValueError("DAG has unreachable tasks (cycle?)")
     return max(finish.values()) if finish else 0.0

@@ -1,16 +1,14 @@
 """repro.passes — the optimization-pass substrate (LLVM analogue).
 
-Alias analysis, inlining, constant folding, CSE, DCE, LICM, structural
-simplification, and the OpenMPOpt analogue with parallel-region load
-hoisting and region merging.  AD runs after these (and optionally runs
-the cleanup pipeline on its output), reproducing the paper's
-optimization↔differentiation interplay (§V-E).
+Alias analysis, inlining, the two-sweep cleanup (constant folding, CSE,
+DCE), LICM, structural simplification, and the OpenMPOpt analogue with
+parallel-region load hoisting and region merging.  AD runs after these
+(and optionally runs the cleanup pipeline on its output), reproducing
+the paper's optimization↔differentiation interplay (§V-E).
 """
 
 from .aliasing import AliasInfo, analyze_aliasing
-from .constfold import ConstantFold
-from .cse import CSE
-from .dce import DCE
+from .cleanup import Cleanup
 from .inline import force_inline_all, inline_all
 from .intervals import (
     Affine,
@@ -34,7 +32,7 @@ __all__ = [
     "AliasInfo", "analyze_aliasing",
     "Affine", "Interval", "IntervalAnalysis",
     "analyze_intervals", "certify_bounds",
-    "ConstantFold", "CSE", "DCE", "LICM", "OpenMPOpt", "Simplify",
+    "Cleanup", "LICM", "OpenMPOpt", "Simplify",
     "RegionChecker", "region_report",
     "force_inline_all", "inline_all",
     "FunctionPass", "PassManager", "cleanup_pipeline", "default_pipeline",

@@ -64,20 +64,14 @@ def default_pipeline(openmp_opt: bool = False,
     ``openmp_opt=True`` adds the parallel-region load/indirection
     hoisting pass (the paper's extended OpenMPOpt, §V-E / §VIII).
     """
-    from .constfold import ConstantFold
-    from .cse import CSE
-    from .dce import DCE
+    from .cleanup import Cleanup
     from .licm import LICM
     from .openmp_opt import OpenMPOpt
     from .simplify import Simplify
 
-    passes: list[FunctionPass] = [
-        ConstantFold(), CSE(), DCE(), Simplify(), LICM(),
-    ]
-    if openmp_opt:
-        passes.append(OpenMPOpt())
-    passes += [ConstantFold(), CSE(), DCE()]
-    return PassManager(passes, verify_each=verify_each)
+    omp = [OpenMPOpt()] if openmp_opt else []
+    return PassManager([Cleanup(), Simplify(), LICM(), *omp, Cleanup()],
+                       verify_each=verify_each)
 
 
 def sanitize_pipeline(on_error: str = "ignore",
@@ -112,10 +106,7 @@ def commcheck_pipeline(sizes: tuple = (2, 3), on_error: str = "ignore",
 
 def cleanup_pipeline(verify_each: bool = False) -> PassManager:
     """Post-AD cleanup (fold the index arithmetic the transform emits)."""
-    from .constfold import ConstantFold
-    from .cse import CSE
-    from .dce import DCE
+    from .cleanup import Cleanup
     from .simplify import Simplify
 
-    return PassManager([ConstantFold(), CSE(), DCE(), Simplify()],
-                       verify_each=verify_each)
+    return PassManager([Cleanup(), Simplify()], verify_each=verify_each)

@@ -270,6 +270,13 @@ import sys
 from repro.ad import ADConfig, Const, Duplicated, autodiff
 from repro.ir import I64, IRBuilder, Ptr, print_module, verify_module
 
+if sys.argv[1] == "lulesh-openmp":
+    from repro.apps.lulesh.driver import LuleshApp
+    app = LuleshApp("openmp", 2)
+    app.grad_fn()
+    sys.stdout.write(print_module(app.module))
+    sys.exit(0)
+
 b = IRBuilder()
 with b.function("step_loop", [("x", Ptr()), ("y", Ptr()), ("n", I64),
                               ("steps", I64)]) as f:
@@ -286,11 +293,15 @@ sys.stdout.write(print_module(b.module))
 """
 
 
-@pytest.mark.parametrize("adjoint", ["", "checkpoint", "implicit"])
+@pytest.mark.parametrize("adjoint", ["", "checkpoint", "implicit",
+                                     "lulesh-openmp"])
 def test_gradient_ir_deterministic_across_hash_seeds(adjoint, tmp_path):
     """Byte-identical gradient IR under different PYTHONHASHSEEDs: the
-    strategy analysis (state discovery, snapshot order) must iterate in
-    program order, never set order."""
+    strategy analysis (state discovery, snapshot order) and the cache
+    planner (pointer-slot creation while closing over recomputable
+    values) must iterate in program order, never set order.  The
+    LULESH openmp gradient has ptr-load cache slots, which the planner
+    used to create in set order."""
     import os
     import subprocess
     import sys
@@ -301,15 +312,15 @@ def test_gradient_ir_deterministic_across_hash_seeds(adjoint, tmp_path):
     script.write_text(_HASHSEED_SCRIPT)
     src_root = os.path.dirname(os.path.dirname(repro.__file__))
     outs = []
-    for seed in ("0", "1"):
+    for seed in ("0", "1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=src_root + os.pathsep
                    + os.environ.get("PYTHONPATH", ""))
         proc = subprocess.run([sys.executable, str(script), adjoint],
                               capture_output=True, env=env, check=True)
         outs.append(proc.stdout)
-    assert outs[0] == outs[1]
-    if adjoint:
+    assert all(out == outs[0] for out in outs)
+    if adjoint in ("checkpoint", "implicit"):
         assert f"{{adjoint='{adjoint}'}}".encode() in outs[0]
 
 

@@ -1,11 +1,14 @@
 """Cache-vs-recompute planning (min-cut, §IV-C) unit tests."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.ad import ADConfig, Duplicated, autodiff
+from repro.ad import ADConfig, Duplicated, PlanError, autodiff
 from repro.ad.activity import analyze_activity
-from repro.ad.cacheplan import CachePlanner, dims_for_op, nest_of
+from repro.ad.cacheplan import CachePlanner, dims_for_op, min_cut, nest_of
 from repro.interp import ExecConfig, Executor
 from repro.ir import F64, I64, IRBuilder, Ptr
 from repro.passes.aliasing import analyze_aliasing
@@ -180,3 +183,46 @@ def test_gradient_correct_under_both_plans():
         Executor(b.module).run(grad, x0.copy(), dx, 3)
         expect = np.sqrt(x0 + 1) + x0 / (2 * np.sqrt(x0 + 1))
         np.testing.assert_allclose(dx, expect, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The max-flow min-cut against brute force
+# ---------------------------------------------------------------------------
+
+_INF = float("inf")
+
+
+@st.composite
+def capacitated_graph(draw):
+    n = draw(st.integers(2, 7))
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=16))
+    caps = st.one_of(st.integers(1, 9).map(float), st.just(_INF))
+    return n, [(u, v, draw(caps)) for u, v in chosen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph=capacitated_graph())
+def test_min_cut_is_minimum_with_inclusion_minimal_sink_side(graph):
+    """Node 0 is the source and node 1 the sink.  Brute force over every
+    sink side: the cut value is the minimum, and the returned side is a
+    minimum side contained in every other minimum side (the partition
+    the planner's cache decisions read)."""
+    n, edges = graph
+    sides = [frozenset((1,) + extra) for k in range(n - 1)
+             for extra in itertools.combinations(range(2, n), k)]
+
+    def capacity(side):
+        return sum(c for u, v, c in edges if u not in side and v in side)
+
+    best = min(capacity(side) for side in sides)
+    if best == _INF:
+        with pytest.raises(PlanError, match="uncuttable"):
+            min_cut(n, edges, 0, 1)
+        return
+    value, sink_side = min_cut(n, edges, 0, 1)
+    assert value == best
+    assert sink_side in sides
+    assert capacity(sink_side) == best
+    assert all(sink_side <= side for side in sides
+               if capacity(side) == best)

@@ -45,6 +45,53 @@ def test_cycle_rejected():
         d.add_dep("b", "a")
 
 
+def test_cycle_rejection_leaves_dag_unchanged():
+    d = TaskDAG()
+    for t in "abc":
+        d.add_task(t)
+    d.add_dep("a", "b")
+    d.add_dep("b", "c")
+    with pytest.raises(ValueError, match="cycle"):
+        d.add_dep("c", "a")          # closes a -> b -> c -> a
+    with pytest.raises(ValueError, match="cycle"):
+        d.add_dep("b", "b")          # self-loop
+    d.add_dep("a", "b")              # a repeated edge is no cycle
+    assert d.topo_order() == ["a", "b", "c"]
+    assert d.syncs() == set() and d.spawns() == set()
+    with pytest.raises(KeyError):
+        d.add_dep("a", "missing")
+
+
+def _insertion_ordered_dag():
+    d = TaskDAG()
+    for t, c in (("e", 2.0), ("a", 1.0), ("d", 4.0), ("b", 3.0),
+                 ("c", 0.5), ("f", 1.5)):
+        d.add_task(t, c)
+    for a, b in (("a", "f"), ("e", "c"), ("a", "b"), ("e", "b"),
+                 ("b", "d"), ("c", "d"), ("d", "f")):
+        d.add_dep(a, b)
+    return d
+
+
+def test_topo_order_is_generation_by_generation_in_insertion_order():
+    """Pinned orders (they match networkx.topological_sort, which the
+    DAG used before): sources in task insertion order, then the tasks
+    each generation releases, in the order their edges were added."""
+    d = _insertion_ordered_dag()
+    assert d.topo_order() == ["e", "a", "c", "b", "d", "f"]
+    assert d.reverse().topo_order() == ["f", "d", "b", "c", "a", "e"]
+    assert d.span() == 10.5          # e -> b -> d -> f
+    assert d.reverse().span() == 10.5
+
+    g = TaskDAG()
+    for t in (5, 3, 9, 1, 7, 2):
+        g.add_task(t)
+    for a, b in ((9, 2), (3, 2), (5, 1), (5, 7), (3, 7), (1, 2)):
+        g.add_dep(a, b)
+    assert g.topo_order() == [5, 3, 9, 1, 7, 2]
+    assert g.span() == 3.0
+
+
 def test_execute_respects_dependencies():
     d = _diamond()
     seen = []

@@ -6,9 +6,7 @@ import pytest
 from repro.interp import ExecConfig, Executor
 from repro.ir import F64, I64, IRBuilder, Constant, Ptr, verify_module
 from repro.passes import (
-    CSE,
-    ConstantFold,
-    DCE,
+    Cleanup,
     LICM,
     OpenMPOpt,
     Simplify,
@@ -29,7 +27,7 @@ def test_dce_removes_dead_arith():
         b.store(1.0, x, 0)
     fn = b.module.functions["f"]
     assert _count(fn, "mul") == 1
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "mul") == 0
     assert _count(fn, "load") == 0
     assert _count(fn, "store") == 1
@@ -42,7 +40,7 @@ def test_dce_keeps_effects():
         b.atomic_add(1.0, f.args[0], 0)
         b.memset(f.args[0], 0.0, 1)
     fn = b.module.functions["f"]
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "atomic") == 1
     assert _count(fn, "memset") == 1
 
@@ -53,7 +51,7 @@ def test_dce_removes_empty_loop():
         with b.for_(0, f.args[0]) as i:
             pass
     fn = b.module.functions["f"]
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "for") == 0
 
 
@@ -63,8 +61,7 @@ def test_constfold_arith():
         v = b.mul(b.add(2.0, 3.0), 4.0)
         b.store(v, f.args[0], 0)
     fn = b.module.functions["f"]
-    ConstantFold().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     store = fn.body.ops[-2]
     assert store.opcode == "store"
     assert isinstance(store.operands[0], Constant)
@@ -78,8 +75,7 @@ def test_constfold_identities():
         v = (a + 0.0) * 1.0 - 0.0
         b.ret(v / 1.0)
     fn = b.module.functions["f"]
-    ConstantFold().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     # everything folds to the argument itself
     assert fn.body.ops[-1].operands[0] is fn.args[0]
 
@@ -92,8 +88,7 @@ def test_cse_merges_pure_ops():
         v2 = a * a
         b.ret(v1 + v2)
     fn = b.module.functions["f"]
-    CSE().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "mul") == 1
 
 
@@ -103,8 +98,7 @@ def test_cse_commutative():
         a, c = f.args
         b.ret(a * c + c * a)
     fn = b.module.functions["f"]
-    CSE().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "mul") == 1
 
 
@@ -117,7 +111,7 @@ def test_cse_does_not_merge_loads():
         v2 = b.load(x, 0)  # different value!
         b.ret(v1 + v2)
     fn = b.module.functions["f"]
-    CSE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert _count(fn, "load") == 2
 
 
@@ -181,7 +175,7 @@ def test_openmp_opt_hoists_closure_pointer_loads():
 
     assert ptr_loads_in_fork()  # the closure reload pattern (Fig. 3)
     OpenMPOpt().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     assert not ptr_loads_in_fork()
 
 
@@ -195,8 +189,7 @@ def test_openmp_opt_store_to_load_forwarding():
         b.ret(v * 2.0)
     fn = b.module.functions["f"]
     OpenMPOpt().run(fn, b.module)
-    ConstantFold().run(fn, b.module)
-    DCE().run(fn, b.module)
+    Cleanup().run(fn, b.module)
     ret = fn.body.ops[-1]
     assert isinstance(ret.operands[0], Constant)
     assert ret.operands[0].value == 9.0

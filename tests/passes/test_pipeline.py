@@ -6,8 +6,7 @@ import pytest
 from repro.interp import Executor
 from repro.ir import F64, I64, IRBuilder, Ptr, verify_module
 from repro.passes import (
-    ConstantFold,
-    DCE,
+    Cleanup,
     PassManager,
     cleanup_pipeline,
     default_pipeline,
@@ -74,7 +73,7 @@ def test_cleanup_pipeline_on_gradient():
 
 def test_pass_order_custom_manager():
     b = _sample_module()
-    pm = PassManager([ConstantFold(), DCE()], max_rounds=2)
+    pm = PassManager([Cleanup()], max_rounds=2)
     pm.run(b.module)
     fn = b.module.functions["f"]
     # the dead sin(6.0) vanished
@@ -82,7 +81,7 @@ def test_pass_order_custom_manager():
 
 
 def test_verify_each_catches_breakage():
-    class Vandal(ConstantFold):
+    class Vandal(Cleanup):
         name = "vandal"
 
         def run(self, fn, module):
